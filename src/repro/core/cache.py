@@ -9,19 +9,24 @@ C++ implementation). Capacity is accounted in bytes; eviction is LRU.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.core.types import LogRecord, _approx_size
 
 
 class RecordCache:
-    """Byte-bounded LRU over (record data, aux data) entries."""
+    """Byte-bounded LRU over (record data, aux data) entries.
+
+    An entry is ``(record, aux, record_size, aux_size)``: the two halves
+    are sized once, when put, so replacing one half does not re-size the
+    other.
+    """
 
     def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[int, Tuple[Optional[LogRecord], Any, int]]" = OrderedDict()
+        self._entries: "OrderedDict[int, Tuple[Optional[LogRecord], Any, int, int]]" = OrderedDict()
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -36,27 +41,28 @@ class RecordCache:
     # ------------------------------------------------------------------
     def put_record(self, record: LogRecord) -> None:
         assert record.seqnum is not None
-        _, aux, _ = self._entries.get(record.seqnum, (None, None, 0))
-        self._store(record.seqnum, record, aux)
+        entry = self._entries.get(record.seqnum)
+        aux, aux_size = (entry[1], entry[3]) if entry is not None else (None, 0)
+        self._store(record.seqnum, record, record.size_bytes(), aux, aux_size)
 
     def put_aux(self, seqnum: int, auxdata: Any) -> None:
-        record, _, _ = self._entries.get(seqnum, (None, None, 0))
-        self._store(seqnum, record, auxdata)
+        entry = self._entries.get(seqnum)
+        record, record_size = (entry[0], entry[2]) if entry is not None else (None, 0)
+        self._store(seqnum, record, record_size, auxdata, _approx_size(auxdata))
 
-    def _store(self, seqnum: int, record: Optional[LogRecord], aux: Any) -> None:
-        size = (record.size_bytes() if record is not None else 0) + _approx_size(aux)
-        if seqnum in self._entries:
-            self.used_bytes -= self._entries[seqnum][2]
-            del self._entries[seqnum]
-        self._entries[seqnum] = (record, aux, size)
-        self._entries.move_to_end(seqnum)
-        self.used_bytes += size
+    def _store(self, seqnum: int, record: Optional[LogRecord], record_size: int,
+               aux: Any, aux_size: int) -> None:
+        old = self._entries.pop(seqnum, None)
+        if old is not None:
+            self.used_bytes -= old[2] + old[3]
+        self._entries[seqnum] = (record, aux, record_size, aux_size)
+        self.used_bytes += record_size + aux_size
         self._evict()
 
     def _evict(self) -> None:
         while self.used_bytes > self.capacity_bytes and len(self._entries) > 1:
-            _, (_, _, size) = self._entries.popitem(last=False)
-            self.used_bytes -= size
+            _, entry = self._entries.popitem(last=False)
+            self.used_bytes -= entry[2] + entry[3]
             self.evictions += 1
 
     # ------------------------------------------------------------------
@@ -79,7 +85,7 @@ class RecordCache:
     def drop(self, seqnum: int) -> None:
         entry = self._entries.pop(seqnum, None)
         if entry is not None:
-            self.used_bytes -= entry[2]
+            self.used_bytes -= entry[2] + entry[3]
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

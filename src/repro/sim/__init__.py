@@ -7,9 +7,9 @@ message network (:mod:`repro.sim.network`), failure-injectable nodes
 (:mod:`repro.sim.node`), seeded random variates (:mod:`repro.sim.randvar`)
 and measurement helpers (:mod:`repro.sim.metrics`).
 
-All simulated components are single-threaded generator processes scheduled
-by the kernel, which makes every experiment deterministic and reproducible
-given a seed.
+All simulated components are single-threaded generator processes (and, on
+the hot path, callback hops) scheduled by the kernel, which makes every
+experiment deterministic and reproducible given a seed.
 """
 
 from repro.sim.kernel import (

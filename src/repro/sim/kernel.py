@@ -7,6 +7,14 @@ Virtual time only advances between events, so a simulation that models
 minutes of cluster activity runs in milliseconds of wall time and is exactly
 reproducible.
 
+The heap is ordered by ``(time, insertion id)``, and an entry is anything
+with a ``_run_callbacks()`` method: a triggered event (runs its
+callbacks), a pending process (its bootstrap: starts the generator), or a
+pending :class:`Hop` (runs its next step). Short activities on the hot
+path (a message in flight, a CPU hold) are hops rather than processes: a
+hop schedules each step exactly when, and with the delay, a process doing
+the same work would, so using one changes no event's time or tie order.
+
 Example
 -------
 >>> env = Environment()
@@ -21,7 +29,8 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
@@ -54,6 +63,8 @@ class Event:
     *triggers* it, scheduling its callbacks to run at the current simulation
     time. Each event may trigger only once.
     """
+
+    __slots__ = ("env", "callbacks", "_state", "_value", "_ok")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -112,6 +123,8 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay of virtual time."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -127,7 +140,11 @@ class Process(Event):
 
     A process is itself an event that triggers when the generator returns
     (value = return value) or raises (the process fails with the exception,
-    which propagates to anything waiting on it).
+    which propagates to anything waiting on it). It is first scheduled
+    pending, as its own bootstrap: that heap entry starts the generator.
+
+    Processes keep an instance ``__dict__`` (no ``__slots__``), so tools
+    may tag them with attributes of their own.
     """
 
     def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None):
@@ -142,10 +159,7 @@ class Process(Event):
         # creator's trace. None whenever tracing is off.
         active = env._active
         self.trace_ctx = active.trace_ctx if active is not None else None
-        # Bootstrap: resume once at the current time.
-        init = Event(env)
-        init.callbacks.append(self._resume)
-        init.succeed()
+        env._push(self)
 
     @property
     def is_alive(self) -> bool:
@@ -157,9 +171,8 @@ class Process(Event):
             return
         if self._waiting_on is self:
             raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
 
-        def do_interrupt(_event: Event) -> None:
+        def do_interrupt(event: Event) -> None:
             if not self.is_alive:
                 return
             # Detach from whatever we were waiting on so the stale resume
@@ -167,61 +180,108 @@ class Process(Event):
             target = self._waiting_on
             if target is not None and self._resume in target.callbacks:
                 target.callbacks.remove(self._resume)
-            self._waiting_on = None
-            self._step(None, to_throw=Interrupt(cause))
+            self._resume(event)
 
+        event = Event(self.env)
         event.callbacks.append(do_interrupt)
-        event.succeed()
+        event.fail(Interrupt(cause))
 
-    def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        self._step(event)
+    def _run_callbacks(self) -> None:
+        if self._state == _PENDING:
+            self._resume(None)  # the bootstrap entry: start the generator
+        else:
+            Event._run_callbacks(self)
 
-    def _step(self, event: Optional[Event], to_throw: Optional[BaseException] = None) -> None:
+    def _resume(self, event: Optional[Event]) -> None:
+        """Send ``event``'s outcome into the generator (None starts it) and
+        wait on the event it yields next."""
         env = self.env
         prev_active = env._active
         env._active = self
+        self._waiting_on = None
         try:
-            self._step_inner(event, to_throw)
+            try:
+                if event is None:
+                    target = self._generator.send(None)
+                elif event._ok:
+                    target = self._generator.send(event._value)
+                else:
+                    target = self._generator.throw(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self.fail(exc)
+                return
+            if not isinstance(target, Event):
+                error = SimulationError(f"process {self.name!r} yielded non-event {target!r}")
+                self._generator.close()
+                self.fail(error)
+                return
+            if target._state == _PROCESSED:
+                # Already happened: resume immediately (at the current time).
+                bounce = Event(env)
+                bounce._ok = target._ok
+                bounce._value = target._value
+                bounce.callbacks.append(self._resume)
+                env._schedule(bounce)
+                self._waiting_on = bounce
+            else:
+                target.callbacks.append(self._resume)
+                self._waiting_on = target
         finally:
             env._active = prev_active
 
-    def _step_inner(self, event: Optional[Event], to_throw: Optional[BaseException]) -> None:
+
+class Hop(Event):
+    """An event that advances a short activity by callbacks, not a generator.
+
+    A hop does what a small helper process would (a message in flight, a
+    CPU hold) without a generator. While pending it puts *itself* on the
+    heap for each step, at the moment and with the delay a process doing
+    the same work would schedule its bootstrap, timeout or wake-up, so the
+    schedule is unchanged; :meth:`_step` runs the next step when that entry
+    pops. Once triggered it is an ordinary event: its final heap entry runs
+    its callbacks, so processes can yield a hop like any event.
+
+    A step runs with the process that created the hop as ``env._active``,
+    so trace-context inheritance and request attribution follow the
+    creator.
+    """
+
+    __slots__ = ("_proc",)
+
+    def __init__(self, env: "Environment"):
+        super().__init__(env)
+        self._proc = env._active
+        env._push(self)
+
+    def _run_callbacks(self) -> None:
+        if self._state != _PENDING:
+            Event._run_callbacks(self)
+            return
+        env = self.env
+        prev_active = env._active
+        env._active = self._proc
         try:
-            if to_throw is not None:
-                target = self._generator.throw(to_throw)
-            elif event is not None and not event.ok:
-                target = self._generator.throw(event.value)
-            else:
-                target = self._generator.send(event.value if event is not None else None)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            error = SimulationError(f"process {self.name!r} yielded non-event {target!r}")
-            self._generator.close()
-            self.fail(error)
-            return
-        if target.processed:
-            # Already happened: resume immediately (at the current time).
-            bounce = Event(self.env)
-            bounce._ok = target.ok
-            bounce._value = target.value
-            bounce.callbacks.append(self._resume)
-            bounce.env._schedule(bounce)
-            self._waiting_on = bounce
-        else:
-            target.callbacks.append(self._resume)
-            self._waiting_on = target
+            self._step()
+        finally:
+            env._active = prev_active
+
+    def _resume(self, _event: Event) -> None:
+        """Callback form of a step: run the next one when ``_event`` fires."""
+        self._run_callbacks()
+
+    def _step(self) -> None:
+        raise NotImplementedError
 
 
 class _Condition(Event):
     """Base for AnyOf/AllOf combinators."""
+
+    __slots__ = ("events", "_done")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -256,12 +316,16 @@ class _Condition(Event):
 class AnyOf(_Condition):
     """Triggers when any of the given events has triggered."""
 
+    __slots__ = ()
+
     def _satisfied(self) -> bool:
         return self._done >= 1
 
 
 class AllOf(_Condition):
     """Triggers when all of the given events have triggered."""
+
+    __slots__ = ()
 
     def _satisfied(self) -> bool:
         return self._done >= len(self.events)
@@ -274,7 +338,8 @@ class Environment:
         self._now = float(initial_time)
         self._heap: List[tuple] = []
         self._eid = 0
-        #: The process currently being stepped (trace-context inheritance).
+        #: The process currently being stepped, or the creator of the hop
+        #: being stepped (trace-context inheritance).
         self._active: Optional[Process] = None
         #: Optional repro.obs.profile.KernelProfiler; one None-check per event.
         self.profiler = None
@@ -287,7 +352,12 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         event._state = _TRIGGERED
         self._eid += 1
-        heapq.heappush(self._heap, (self._now + delay, self._eid, event))
+        heappush(self._heap, (self._now + delay, self._eid, event))
+
+    def _push(self, entry: Any, delay: float = 0.0) -> None:
+        """Put a pending process or hop on the heap to run its next step."""
+        self._eid += 1
+        heappush(self._heap, (self._now + delay, self._eid, entry))
 
     def event(self) -> Event:
         return Event(self)
@@ -311,18 +381,20 @@ class Environment:
         even if the heap drains earlier, matching SimPy semantics.
         """
         processed = 0
-        while self._heap:
-            at, _, event = self._heap[0]
-            if until is not None and at > until:
+        heap = self._heap
+        stop = inf if until is None else until
+        while heap:
+            if heap[0][0] > stop:
                 break
-            heapq.heappop(self._heap)
+            at, _, event = heappop(heap)
             self._now = at
             if self.profiler is not None:
-                self.profiler.on_event(at, len(self._heap))
+                self.profiler.on_event(at, len(heap))
             event._run_callbacks()
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                return
+            if max_events is not None:
+                processed += 1
+                if processed >= max_events:
+                    return
         if until is not None and self._now < until:
             self._now = until
 
@@ -348,7 +420,7 @@ class Environment:
         """Process a single event; returns False if the heap is empty."""
         if not self._heap:
             return False
-        at, _, event = heapq.heappop(self._heap)
+        at, _, event = heappop(self._heap)
         self._now = at
         if self.profiler is not None:
             self.profiler.on_event(at, len(self._heap))

@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Set, Uni
 
 from repro.obs.recorder import DISABLED
 from repro.obs.trace import STATUS_DROPPED, STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT
-from repro.sim.kernel import AnyOf, Environment, Event, Process
+from repro.sim.kernel import Environment, Event, Hop
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
 
@@ -112,9 +112,9 @@ class Network:
         #: installed fault so fault-free simulations consume exactly the
         #: same random streams as before.
         self._chaos_rng = None
-        #: Pending fail-fast events for in-flight RPCs, keyed by
-        #: destination node name (resolved when that node crashes).
-        self._inflight: Dict[str, list] = {}
+        #: In-flight RPCs (insertion-ordered), keyed by destination node
+        #: name; failed fast when that node crashes.
+        self._inflight: Dict[str, Dict["_Call", None]] = {}
         self._msg_ids = itertools.count(1)
         self.messages_sent = 0
         self.trace_hook: Optional[Callable[[Message], None]] = None
@@ -224,12 +224,11 @@ class Network:
     def _on_node_crash(self, node: Node) -> None:
         """Fail-fast: resolve in-flight RPC waits targeting a crashed node
         so callers see :class:`RpcTimeout` now instead of at the deadline."""
-        waiters = self._inflight.pop(node.name, None)
-        if not waiters:
+        calls = self._inflight.pop(node.name, None)
+        if not calls:
             return
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(None)
+        for call in calls:
+            call._destination_down()
 
     def one_way_delay(self) -> float:
         """One hop's latency: RTT/2 plus Gaussian jitter, floored at 1 us."""
@@ -244,8 +243,7 @@ class Network:
 
     def send(self, src: Union[str, Node], dst: Union[str, Node], method: str, payload: Any = None) -> None:
         """One-way, best-effort message: runs the destination handler after
-        the network delay; no reply, errors in the handler are swallowed
-        into a failed (unobserved) process."""
+        the network delay; no reply, errors in the handler are swallowed."""
         src_node, dst_node = self._resolve(src), self._resolve(dst)
         if not src_node.alive:
             return
@@ -256,43 +254,33 @@ class Network:
             self.obs.metrics.counter("net.sends").incr()
         if self.trace_hook is not None:
             self.trace_hook(msg)
-        self.env.process(self._deliver_oneway(src_node, dst_node, msg), name=f"send:{method}")
+        _Send(self, src_node, dst_node, msg)
 
-    def _deliver_oneway(self, src: Node, dst: Node, msg: Message) -> Generator:
+    def _deliver_oneway(self, hop: "_Send") -> None:
+        """One step of a one-way message: leave the source, or arrive."""
+        src, dst, msg = hop.src, hop.dst, hop.msg
         obs = self.obs
-        extra_delay = 0.0
-        if self._link_faults:
-            dropped, duplicated, extra_delay = self._hop_fault(
-                src.name, dst.name, allow_dup=not msg.dup
-            )
-            if duplicated:
-                dup_msg = Message(
-                    next(self._msg_ids), msg.src, msg.dst, msg.method,
-                    msg.payload, msg.trace_ctx, dup=True,
+        if not hop.arrived:
+            extra_delay = 0.0
+            if self._link_faults:
+                dropped, duplicated, extra_delay = self._hop_fault(
+                    src.name, dst.name, allow_dup=not msg.dup
                 )
-                self.messages_sent += 1
-                self.env.process(
-                    self._deliver_oneway(src, dst, dup_msg),
-                    name=f"send:{msg.method}:dup",
-                )
-            if dropped:
-                if obs.enabled:
-                    obs.tracer.instant(
-                        f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                        kind="net", status=STATUS_DROPPED,
-                        attrs={"src": msg.src, "reason": "chaos"},
+                if duplicated:
+                    dup_msg = Message(
+                        next(self._msg_ids), msg.src, msg.dst, msg.method,
+                        msg.payload, msg.trace_ctx, dup=True,
                     )
-                    obs.metrics.counter("net.drops").incr()
-                return
-        yield self.env.timeout(self.one_way_delay() + extra_delay + dst.slowdown)
+                    self.messages_sent += 1
+                    _Send(self, src, dst, dup_msg)
+                if dropped:
+                    self._drop(msg, dst, "chaos")
+                    return
+            hop.arrived = True
+            self.env._push(hop, self.one_way_delay() + extra_delay + dst.slowdown)
+            return
         if not dst.alive or not self.reachable(src.name, dst.name):
-            if obs.enabled:
-                obs.tracer.instant(
-                    f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                    kind="net", status=STATUS_DROPPED,
-                    attrs={"src": msg.src, "reason": "down" if not dst.alive else "partition"},
-                )
-                obs.metrics.counter("net.drops").incr()
+            self._drop(msg, dst, "down" if not dst.alive else "partition")
             return
         handler = dst.handlers.get(msg.method)
         if handler is None:
@@ -306,7 +294,7 @@ class Network:
             prev_ctx = obs.tracer.set_process_context(span.context)
         try:
             result = handler(msg.payload)
-        except Exception as exc:  # noqa: BLE001 - close the span, then fail as before
+        except Exception as exc:  # noqa: BLE001 - close the span; the hop drops it
             if span is not None:
                 span.finish(STATUS_ERROR, error=repr(exc))
             raise
@@ -314,14 +302,24 @@ class Network:
             if obs.enabled:
                 obs.tracer.set_process_context(prev_ctx)
         if hasattr(result, "throw"):  # generator handler: run as a process
-            # The wrapped process inherits the handle span's context via the
-            # ambient context set above at creation... it is created *after*
-            # the restore, so install it explicitly.
+            # Created after the context was restored, so install the handle
+            # span's context on it explicitly.
             proc = self.env.process(self._ignore_errors(result, span), name=f"handle:{msg.method}")
             if span is not None:
                 proc.trace_ctx = span.context
         elif span is not None:
             span.finish(STATUS_OK)
+
+    def _drop(self, msg: Message, dst: Node, reason: str) -> None:
+        """Record a message lost in flight (a ``drop:`` instant when traced)."""
+        obs = self.obs
+        if obs.enabled:
+            obs.tracer.instant(
+                f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
+                kind="net", status=STATUS_DROPPED,
+                attrs={"src": msg.src, "reason": reason},
+            )
+            obs.metrics.counter("net.drops").incr()
 
     @staticmethod
     def _ignore_errors(generator: Generator, span=None) -> Generator:
@@ -341,123 +339,143 @@ class Network:
         method: str,
         payload: Any = None,
         timeout: Optional[float] = None,
-    ) -> Process:
-        """Request/response call; yield the returned process for the result.
+    ) -> Event:
+        """Request/response call; yield the returned event for the result.
 
         Raises :class:`RpcTimeout` if the reply does not arrive in time and
         :class:`RpcError` if the remote handler raised.
         """
         src_node, dst_node = self._resolve(src), self._resolve(dst)
         deadline = timeout if timeout is not None else self.rpc_timeout
-        return self.env.process(
-            self._rpc(src_node, dst_node, method, payload, deadline),
-            name=f"rpc:{method}",
-        )
+        return _Call(self, src_node, dst_node, method, payload, deadline)
 
-    def _rpc(self, src: Node, dst: Node, method: str, payload: Any, timeout: float) -> Generator:
-        src.check_alive()
-        msg = Message(next(self._msg_ids), src.name, dst.name, method, payload)
-        self.messages_sent += 1
+    def _rpc(self, call: "_Call") -> Any:
+        """One step of an RPC's caller side. The first sends the request
+        and arms the timer; the last returns the reply's value, or raises
+        :class:`RpcTimeout` / :class:`RpcError`."""
+        src, dst = call.src, call.dst
         obs = self.obs
-        span = None
-        if obs.enabled:
-            # Parent = the calling process's ambient context (inherited by
-            # this _rpc process at creation). The message carries the rpc
-            # span so the server side parents under it.
-            span = obs.tracer.start_span(
-                f"rpc:{method}", node=src.name, kind="rpc", attrs={"dst": dst.name}
-            )
-            msg.trace_ctx = span.context
-            obs.metrics.counter("net.rpc.calls").incr()
-        if self.trace_hook is not None:
-            self.trace_hook(msg)
-        reply = Event(self.env)
-        self.env.process(self._serve(src, dst, msg, reply), name=f"serve:{method}")
-        timer = self.env.timeout(timeout)
-        # Fail fast if the destination crashes while this call is in flight
-        # (a node that is already down when the call starts still waits out
-        # the full timeout, as a real client would).
-        down = Event(self.env)
-        self._inflight.setdefault(dst.name, []).append(down)
-        try:
-            yield AnyOf(self.env, [reply, timer, down])
-        except BaseException as exc:  # interrupted caller, node crash, ...
+        span = call.span
+        if call.stage == 0:
+            src.check_alive()
+            msg = Message(next(self._msg_ids), src.name, dst.name, call.method, call.payload)
+            self.messages_sent += 1
+            if obs.enabled:
+                # Parent = the caller's context when it called rpc(). The
+                # message carries the rpc span so the server side parents
+                # under it.
+                prev_ctx = obs.tracer.set_process_context(call.ctx)
+                span = call.span = obs.tracer.start_span(
+                    f"rpc:{call.method}", node=src.name, kind="rpc", attrs={"dst": dst.name}
+                )
+                obs.tracer.set_process_context(prev_ctx)
+                msg.trace_ctx = span.context
+                obs.metrics.counter("net.rpc.calls").incr()
+            if self.trace_hook is not None:
+                self.trace_hook(msg)
+            _Serve(self, call, msg)
+            call.timer = self.env.timeout(call.timeout)
+            call.timer.callbacks.append(call._wake)
+            # Fail fast if the destination crashes while this call is in
+            # flight (a node that is already down when the call starts still
+            # waits out the full timeout, as a real client would).
+            self._inflight.setdefault(dst.name, {})[call] = None
+            call.stage = 1
+            return None
+        calls = self._inflight.get(dst.name)
+        if calls is not None:
+            calls.pop(call, None)
+            if not calls:
+                del self._inflight[dst.name]
+        # Settled: the pending timer must not keep the call (and with it
+        # the request and reply) alive until it fires.
+        call.timer.callbacks.clear()
+        if call.reply is None:
             if span is not None:
-                span.finish(STATUS_ERROR, error=repr(exc))
-            raise
-        finally:
-            waiters = self._inflight.get(dst.name)
-            if waiters is not None:
-                try:
-                    waiters.remove(down)
-                except ValueError:
-                    pass
-                if not waiters:
-                    self._inflight.pop(dst.name, None)
-        if not reply.triggered:
-            if span is not None:
-                span.finish(STATUS_TIMEOUT, timeout=timeout)
+                span.finish(STATUS_TIMEOUT, timeout=call.timeout)
                 obs.metrics.counter("net.rpc.timeouts").incr()
             # Fail-fast (the destination crashed mid-call): hint 0.0 —
             # the node is definitely down, fail over now rather than
             # pacing as if it might still answer.
-            raise RpcTimeout(method, dst.name, timeout,
-                             retry_after=0.0 if down.triggered else None)
-        status, value = reply.value
+            raise RpcTimeout(call.method, dst.name, call.timeout,
+                             retry_after=0.0 if call.down else None)
+        status, value = call.reply
         if status == "err":
             if span is not None:
                 span.finish(STATUS_ERROR, error=repr(value))
-            raise RpcError(method, value)
+            raise RpcError(call.method, value)
         if span is not None:
             span.finish(STATUS_OK)
         return value
 
-    def _serve(self, src: Node, dst: Node, msg: Message, reply: Event) -> Generator:
+    def _serve(self, hop: "_Serve") -> None:
+        """One step of an RPC's server side: the request leaves the caller,
+        arrives and runs its handler, the handler's process finishes, the
+        reply arrives, or the reply wakes the caller."""
+        call, msg = hop.call, hop.msg
+        src, dst = call.src, call.dst
         obs = self.obs
-        extra_delay = 0.0
-        if self._link_faults:
-            dropped, _, extra_delay = self._hop_fault(src.name, dst.name, allow_dup=False)
-            if dropped:
-                if obs.enabled:
-                    obs.tracer.instant(
-                        f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                        kind="net", status=STATUS_DROPPED,
-                        attrs={"src": msg.src, "reason": "chaos"},
-                    )
-                    obs.metrics.counter("net.drops").incr()
-                return
-        yield self.env.timeout(self.one_way_delay() + extra_delay + dst.slowdown)
-        if not dst.alive or not self.reachable(src.name, dst.name):
-            if obs.enabled:
-                obs.tracer.instant(
-                    f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                    kind="net", status=STATUS_DROPPED,
-                    attrs={"src": msg.src, "reason": "down" if not dst.alive else "partition"},
-                )
-                obs.metrics.counter("net.drops").incr()
+        stage = hop.stage
+        if stage == 0:
+            extra_delay = 0.0
+            if self._link_faults:
+                dropped, _, extra_delay = self._hop_fault(src.name, dst.name, allow_dup=False)
+                if dropped:
+                    self._drop(msg, dst, "chaos")
+                    return
+            hop.stage = 1
+            self.env._push(hop, self.one_way_delay() + extra_delay + dst.slowdown)
             return
-        span = None
-        prev_ctx = None
-        if obs.enabled:
-            span = obs.tracer.start_span(
-                f"handle:{msg.method}", parent=msg.trace_ctx, node=dst.name, kind="handler"
-            )
-            prev_ctx = obs.tracer.set_process_context(span.context)
-        try:
-            handler = dst.handler_for(msg.method)
-            result = handler(msg.payload)
-            if hasattr(result, "throw"):
-                result = yield self.env.process(result, name=f"handle:{msg.method}")
-            outcome = ("ok", result)
-            if span is not None:
-                span.finish(STATUS_OK)
-        except Exception as exc:  # noqa: BLE001 - shipped back to the caller
-            outcome = ("err", exc)
-            if span is not None:
-                span.finish(STATUS_ERROR, error=repr(exc))
-        finally:
+        if stage == 1:
+            if not dst.alive or not self.reachable(src.name, dst.name):
+                self._drop(msg, dst, "down" if not dst.alive else "partition")
+                return
+            span = None
+            prev_ctx = None
             if obs.enabled:
-                obs.tracer.set_process_context(prev_ctx)
+                span = hop.span = obs.tracer.start_span(
+                    f"handle:{msg.method}", parent=msg.trace_ctx, node=dst.name, kind="handler"
+                )
+                prev_ctx = obs.tracer.set_process_context(span.context)
+            try:
+                handler = dst.handler_for(msg.method)
+                result = handler(msg.payload)
+                if hasattr(result, "throw"):
+                    # Generator handler: its process inherits the handle
+                    # span's context; this hop resumes when it finishes.
+                    hop.handling = self.env.process(result, name=f"handle:{msg.method}")
+                    hop.handling.callbacks.append(hop._resume)
+                    hop.stage = 2
+                    return
+                outcome = ("ok", result)
+                if span is not None:
+                    span.finish(STATUS_OK)
+            except Exception as exc:  # noqa: BLE001 - shipped back to the caller
+                outcome = ("err", exc)
+                if span is not None:
+                    span.finish(STATUS_ERROR, error=repr(exc))
+            finally:
+                if obs.enabled:
+                    obs.tracer.set_process_context(prev_ctx)
+        elif stage == 2:
+            handling, hop.handling = hop.handling, None
+            if handling._ok:
+                outcome = ("ok", handling._value)
+                if hop.span is not None:
+                    hop.span.finish(STATUS_OK)
+            else:
+                outcome = ("err", handling._value)
+                if hop.span is not None:
+                    hop.span.finish(STATUS_ERROR, error=repr(handling._value))
+        elif stage == 3:
+            # The replying node must still be up, and the link back intact.
+            if not dst.alive or not src.alive or not self.reachable(src.name, dst.name):
+                return
+            call._deliver(hop, hop.outcome)
+            return
+        else:
+            call._wake(hop)
+            return
         reply_delay = self.one_way_delay()
         if self._link_faults:
             dropped, _, extra_delay = self._hop_fault(dst.name, src.name, allow_dup=False)
@@ -466,10 +484,122 @@ class Network:
                     obs.metrics.counter("net.drops").incr()
                 return
             reply_delay += extra_delay
-        yield self.env.timeout(reply_delay)
-        # The replying node must still be up, and the link back intact.
-        if not dst.alive or not src.alive or not self.reachable(src.name, dst.name):
-            return
-        if not reply.triggered:
-            reply.succeed(outcome)
+        hop.outcome = outcome
+        hop.stage = 3
+        self.env._push(hop, reply_delay)
 
+
+class _Send(Hop):
+    """A one-way message in flight. Its first step (at the send instant)
+    leaves the source: link faults, then the delay draw; its second, one
+    delay later, arrives. Nothing waits on it, so it never triggers."""
+
+    __slots__ = ("net", "src", "dst", "msg", "arrived")
+
+    def __init__(self, net: Network, src: Node, dst: Node, msg: Message):
+        Hop.__init__(self, net.env)
+        self.net = net
+        self.src = src
+        self.dst = dst
+        self.msg = msg
+        self.arrived = False
+
+    def _step(self) -> None:
+        try:
+            self.net._deliver_oneway(self)
+        except Exception:  # noqa: BLE001 - best-effort delivery semantics
+            pass
+
+
+class _Call(Hop):
+    """An RPC's caller side, and the event :meth:`Network.rpc` returns.
+
+    Its first step sends the request and arms the timer. The first of
+    reply, timer and destination crash to fire wakes it; the step after
+    that wake-up settles it: it triggers with the reply's value or the
+    call's failure. ``stage``: 0 not started, 1 in flight, 2 woken,
+    3 settled.
+    """
+
+    __slots__ = ("net", "src", "dst", "method", "payload", "timeout", "ctx",
+                 "stage", "span", "timer", "reply", "down")
+
+    def __init__(self, net: Network, src: Node, dst: Node, method: str,
+                 payload: Any, timeout: float):
+        Hop.__init__(self, net.env)
+        self.net = net
+        self.src = src
+        self.dst = dst
+        self.method = method
+        self.payload = payload
+        self.timeout = timeout
+        self.ctx = net.obs.tracer.current_context() if net.obs.enabled else None
+        self.stage = 0
+        self.span = None
+        self.timer: Optional[Event] = None
+        #: ("ok" | "err", value) once the reply arrived.
+        self.reply = None
+        #: True once the destination crashed while the call was in flight.
+        self.down = False
+
+    def _step(self) -> None:
+        if self.stage == 2:
+            self.stage = 3
+            try:
+                value = self.net._rpc(self)
+            except Exception as exc:  # noqa: BLE001 - delivered to the waiter
+                self.fail(exc)
+            else:
+                self.succeed(value)
+            return
+        try:
+            self.net._rpc(self)
+        except Exception as exc:  # noqa: BLE001 - e.g. the source is down
+            self.stage = 3
+            self.fail(exc)
+
+    def _wake(self, _event: Any) -> None:
+        """The reply, the timer or the destination's crash fired: the first
+        of them schedules the settling step."""
+        if self.stage == 1:
+            self.stage = 2
+            self.env._push(self)
+
+    def _deliver(self, serve: "_Serve", outcome: tuple) -> None:
+        """The reply reached the caller's node. It wins if the call has not
+        settled yet; it wakes the call from the serve hop's next slot."""
+        if self.stage >= 3:
+            return  # late reply: dropped
+        self.reply = outcome
+        if self.stage == 1:
+            serve.stage = 4
+            self.env._push(serve)
+
+    def _destination_down(self) -> None:
+        self.down = True
+        if self.stage == 1:
+            wake = Event(self.env)
+            wake.callbacks.append(self._wake)
+            wake.succeed()
+
+
+class _Serve(Hop):
+    """An RPC's server side: request leg, handler, reply leg, and the
+    wake-up its reply gives the caller. ``stage``: 0 leave the caller,
+    1 arrive and handle, 2 the handler's process finished, 3 the reply
+    arrives, 4 wake the caller."""
+
+    __slots__ = ("net", "call", "msg", "stage", "span", "handling", "outcome")
+
+    def __init__(self, net: Network, call: _Call, msg: Message):
+        Hop.__init__(self, net.env)
+        self.net = net
+        self.call = call
+        self.msg = msg
+        self.stage = 0
+        self.span = None
+        self.handling: Optional[Event] = None
+        self.outcome = None
+
+    def _step(self) -> None:
+        self.net._serve(self)

@@ -9,9 +9,9 @@ order of arrival.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Optional
 
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment, Event, Hop
 
 
 class QueueFull(Exception):
@@ -152,7 +152,8 @@ class Resource:
         finally:
             resource.release(req)
 
-    or via the :meth:`use` helper which wraps the hold in a sub-process.
+    or via the :meth:`use` helper, which runs acquire, hold and release as
+    one kernel hop.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -177,14 +178,20 @@ class Resource:
 
     def request(self) -> Event:
         event = Event(self.env)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            if self.monitor is not None:
-                self.monitor(self._in_use)
+        if self._acquire():
             event.succeed()
         else:
             self._waiters.append(event)
         return event
+
+    def _acquire(self) -> bool:
+        """Take a free slot, if there is one."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            if self.monitor is not None:
+                self.monitor(self._in_use)
+            return True
+        return False
 
     def release(self, request: Optional[Event] = None) -> None:
         while self._waiters:
@@ -200,14 +207,39 @@ class Resource:
             self.monitor(self._in_use)
 
     def use(self, duration: float) -> Event:
-        """Acquire, hold for ``duration`` of virtual time, release."""
+        """Acquire, hold for ``duration`` of virtual time, release; the
+        returned event fires once the slot is released."""
+        return _Use(self, duration)
 
-        def holder() -> Generator:
-            req = self.request()
-            yield req
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                self.release(req)
 
-        return self.env.process(holder(), name="resource-use")
+class _Use(Hop):
+    """A :meth:`Resource.use` hold: request a slot, start holding once it
+    is granted, release it ``duration`` later and trigger. ``stage``: 0
+    request, 1 granted, 2 held."""
+
+    __slots__ = ("resource", "duration", "stage")
+
+    def __init__(self, resource: Resource, duration: float):
+        Hop.__init__(self, resource.env)
+        self.resource = resource
+        self.duration = duration
+        self.stage = 0
+
+    def _step(self) -> None:
+        stage = self.stage
+        if stage == 0:
+            self.stage = 1
+            if self.resource._acquire():
+                self.env._push(self)
+            else:
+                # Queue a plain request event like any other waiter; it
+                # runs the next step when a release hands the slot over.
+                request = Event(self.env)
+                request.callbacks.append(self._resume)
+                self.resource._waiters.append(request)
+        elif stage == 1:
+            self.stage = 2
+            self.env._push(self, self.duration)
+        else:
+            self.resource.release()
+            self.succeed()

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.cache import RecordCache
 from repro.core.hashing import ConsistentHashRing, stable_hash
-from repro.core.types import LogRecord
+from repro.core.types import LogRecord, _approx_size
 
 
 def record(seqnum, size=100):
@@ -85,6 +85,42 @@ class TestRecordCache:
         for s in accesses:
             cache.put_record(record(s, size=150))
             assert cache.used_bytes <= max(cache.capacity_bytes, 150 + 32)
+
+
+class TestRecordCacheSizing:
+    """Each half of an entry is sized once, when it is put."""
+
+    def test_replacing_one_half_does_not_resize_the_other(self):
+        sized = []
+
+        class CountedRecord(LogRecord):
+            def size_bytes(self):
+                sized.append(self.seqnum)
+                return super().size_bytes()
+
+        cache = RecordCache(10_000)
+        rec = CountedRecord(seqnum=3, tags=(1, 2), data="x" * 100)
+        cache.put_record(rec)
+        cache.put_aux(3, {"view": {"k": "v" * 50}})
+        cache.put_aux(3, {"view": {"k": "w" * 60}})
+        assert sized == [3]
+        assert cache.used_bytes == 100 + 16 * 2 + 32 + _approx_size({"view": {"k": "w" * 60}})
+
+    @given(st.lists(st.tuples(st.sampled_from(["record", "aux", "drop"]),
+                              st.integers(0, 8), st.integers(0, 300)),
+                    max_size=120))
+    def test_byte_accounting_matches_a_fresh_recount(self, ops):
+        cache = RecordCache(1500)
+        for op, seqnum, size in ops:
+            if op == "record":
+                cache.put_record(record(seqnum, size=size))
+            elif op == "aux":
+                cache.put_aux(seqnum, "a" * size)
+            else:
+                cache.drop(seqnum)
+            recount = sum((rec.size_bytes() if rec is not None else 0) + _approx_size(aux)
+                          for rec, aux, *_ in cache._entries.values())
+            assert cache.used_bytes == recount
 
 
 class TestStableHash:
