@@ -30,7 +30,7 @@ from repro.obs.recorder import DISABLED
 from repro.core.index import LogIndex
 from repro.core.metalog import MetalogEntry
 from repro.core.ordering import delta_set
-from repro.core.types import LogRecord, MetalogPosition, pack_seqnum, seqnum_term
+from repro.core.types import MAX_POS, LogRecord, MetalogPosition, pack_seqnum, seqnum_term
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
@@ -113,6 +113,8 @@ class LogBookEngine:
         self.term_config: Optional[TermConfig] = None
         #: All terms ever installed, for routing reads of old-term seqnums.
         self.term_history: Dict[int, TermConfig] = {}
+        #: book_id -> _book_routes(book_id); cleared when a term is installed.
+        self._routes: Dict[int, Tuple[Tuple[int, int, int, int], ...]] = {}
         self.cache = RecordCache(config.cache_bytes)
         #: log_id -> index (only logs this engine indexes)
         self.indices: Dict[int, LogIndex] = {}
@@ -160,6 +162,7 @@ class LogBookEngine:
         previous = self.term_config
         self.term_config = term_config
         self.term_history[term_config.term_id] = term_config
+        self._routes.clear()
         for log_id, asg in term_config.logs.items():
             if self.name in asg.index_engines and log_id not in self.indices:
                 self.indices[log_id] = LogIndex(log_id)
@@ -387,24 +390,26 @@ class LogBookEngine:
     # ------------------------------------------------------------------
     # Read path (Figure 4)
     # ------------------------------------------------------------------
-    def _book_routes(self, book_id: int) -> List[Tuple[int, int, int, int]]:
+    def _book_routes(self, book_id: int) -> Tuple[Tuple[int, int, int, int], ...]:
         """Every (term, log) placement this book has ever had, in term
         order, with that term's seqnum bounds. A reconfiguration that
         changes the number of physical logs remaps books (§4.5), so a
-        book's records can span physical logs across terms."""
-        from repro.core.types import MAX_POS
-
-        routes = []
-        for term_id in sorted(self.term_history):
-            log_id = self.term_history[term_id].log_for_book(book_id)
-            routes.append(
-                (
-                    term_id,
-                    log_id,
-                    pack_seqnum(term_id, log_id, 0),
-                    pack_seqnum(term_id, log_id, MAX_POS),
+        book's records can span physical logs across terms. Cached per
+        book until the next term is installed."""
+        routes = self._routes.get(book_id)
+        if routes is None:
+            placements = []
+            for term_id in sorted(self.term_history):
+                log_id = self.term_history[term_id].log_for_book(book_id)
+                placements.append(
+                    (
+                        term_id,
+                        log_id,
+                        pack_seqnum(term_id, log_id, 0),
+                        pack_seqnum(term_id, log_id, MAX_POS),
+                    )
                 )
-            )
+            routes = self._routes[book_id] = tuple(placements)
         return routes
 
     def read(

@@ -7,13 +7,22 @@ Virtual time only advances between events, so a simulation that models
 minutes of cluster activity runs in milliseconds of wall time and is exactly
 reproducible.
 
-The heap is ordered by ``(time, insertion id)``, and an entry is anything
+Entries run in ``(time, insertion id)`` order, and an entry is anything
 with a ``_run_callbacks()`` method: a triggered event (runs its
 callbacks), a pending process (its bootstrap: starts the generator), or a
 pending :class:`Hop` (runs its next step). Short activities on the hot
 path (a message in flight, a CPU hold) are hops rather than processes: a
 hop schedules each step exactly when, and with the delay, a process doing
 the same work would, so using one changes no event's time or tie order.
+
+The queue has two tiers. An entry due at the current instant goes on a
+FIFO *lane*; every other entry goes on a binary heap. A heap entry due
+now was pushed before the clock reached now, so it precedes every lane
+entry; serving heap entries due now first, then the lane, then advancing
+the clock gives exactly the ``(time, id)`` order of a single heap.
+:meth:`Environment.cancel` marks a scheduled event so that it runs
+nothing; once cancelled entries are more than half the heap, the queue
+is rebuilt without them, which cannot reorder the entries that remain.
 
 Example
 -------
@@ -29,7 +38,8 @@ Example
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from collections import deque
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -52,8 +62,9 @@ class Interrupt(Exception):
 
 # Event lifecycle states.
 _PENDING = 0
-_TRIGGERED = 1  # scheduled on the heap, callbacks not yet run
+_TRIGGERED = 1  # scheduled on the queue, callbacks not yet run
 _PROCESSED = 2  # callbacks have run
+_CANCELLED = 3  # scheduled, then cancelled: never runs
 
 
 class Event:
@@ -116,7 +127,8 @@ class Event:
             callback(self)
 
     def __repr__(self) -> str:
-        state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
+        state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed",
+                 _CANCELLED: "cancelled"}
         return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
 
 
@@ -141,7 +153,7 @@ class Process(Event):
     A process is itself an event that triggers when the generator returns
     (value = return value) or raises (the process fails with the exception,
     which propagates to anything waiting on it). It is first scheduled
-    pending, as its own bootstrap: that heap entry starts the generator.
+    pending, as its own bootstrap: that queue entry starts the generator.
 
     Processes keep an instance ``__dict__`` (no ``__slots__``), so tools
     may tag them with attributes of their own.
@@ -240,10 +252,10 @@ class Hop(Event):
 
     A hop does what a small helper process would (a message in flight, a
     CPU hold) without a generator. While pending it puts *itself* on the
-    heap for each step, at the moment and with the delay a process doing
+    queue for each step, at the moment and with the delay a process doing
     the same work would schedule its bootstrap, timeout or wake-up, so the
     schedule is unchanged; :meth:`_step` runs the next step when that entry
-    pops. Once triggered it is an ordinary event: its final heap entry runs
+    pops. Once triggered it is an ordinary event: its final queue entry runs
     its callbacks, so processes can yield a hop like any event.
 
     A step runs with the process that created the hop as ``env._active``,
@@ -332,12 +344,17 @@ class AllOf(_Condition):
 
 
 class Environment:
-    """The simulation environment: virtual clock plus the event heap."""
+    """The simulation environment: virtual clock plus the event queue."""
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        #: Entries due after now: ``(time, insertion id, entry)``.
         self._heap: List[tuple] = []
+        #: Entries due at now, in insertion order.
+        self._lane: deque = deque()
         self._eid = 0
+        #: Cancelled entries still on either tier.
+        self._cancelled = 0
         #: The process currently being stepped, or the creator of the hop
         #: being stepped (trace-context inheritance).
         self._active: Optional[Process] = None
@@ -351,13 +368,44 @@ class Environment:
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         event._state = _TRIGGERED
-        self._eid += 1
-        heappush(self._heap, (self._now + delay, self._eid, event))
+        self._push(event, delay)
 
     def _push(self, entry: Any, delay: float = 0.0) -> None:
-        """Put a pending process or hop on the heap to run its next step."""
+        """Queue an entry (a triggered event, or a pending process or hop
+        to run its next step) ``delay`` from now. Every entry takes the
+        next insertion id, whichever tier it goes on."""
         self._eid += 1
-        heappush(self._heap, (self._now + delay, self._eid, entry))
+        now = self._now
+        at = now + delay
+        if at == now:
+            self._lane.append(entry)
+        else:
+            heappush(self._heap, (at, self._eid, entry))
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw a scheduled event (typically a :class:`Timeout`) from
+        the queue: it runs no callback, and anything still waiting on it
+        is never woken. A no-op once the event has been processed.
+
+        Once cancelled entries are more than half the heap, both tiers are
+        rebuilt without them; removing entries that run nothing leaves the
+        order of the others unchanged.
+        """
+        if event._state != _TRIGGERED:
+            return
+        event._state = _CANCELLED
+        event.callbacks.clear()
+        self._cancelled += 1
+        heap = self._heap
+        if 2 * self._cancelled > len(heap):
+            heap[:] = [item for item in heap if item[2]._state != _CANCELLED]
+            heapify(heap)
+            lane = self._lane
+            if lane:
+                live = [entry for entry in lane if entry._state != _CANCELLED]
+                lane.clear()
+                lane.extend(live)
+            self._cancelled = 0
 
     def event(self) -> Event:
         return Event(self)
@@ -375,26 +423,38 @@ class Environment:
         return AllOf(self, events)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the heap drains, ``until`` is reached, or ``max_events``.
+        """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
         When ``until`` is given the clock is advanced exactly to ``until``
-        even if the heap drains earlier, matching SimPy semantics.
+        even if the queue drains earlier, matching SimPy semantics.
         """
         processed = 0
-        heap = self._heap
+        heap, lane = self._heap, self._lane
         stop = inf if until is None else until
-        while heap:
-            if heap[0][0] > stop:
-                break
-            at, _, event = heappop(heap)
-            self._now = at
-            if self.profiler is not None:
-                self.profiler.on_event(at, len(heap))
-            event._run_callbacks()
-            if max_events is not None:
-                processed += 1
-                if processed >= max_events:
-                    return
+        if self._now <= stop:
+            while True:
+                # Heap entries due now, then the lane, then the next instant
+                # (the same loop as step()).
+                now = self._now
+                if heap and heap[0][0] <= now:
+                    event = heappop(heap)[2]
+                elif lane:
+                    event = lane.popleft()
+                elif heap and heap[0][0] <= stop:
+                    now, _, event = heappop(heap)
+                else:
+                    break
+                if event._state == _CANCELLED:
+                    self._cancelled -= 1
+                    continue
+                self._now = now
+                if self.profiler is not None:
+                    self.profiler.on_event(now, len(heap) + len(lane))
+                event._run_callbacks()
+                if max_events is not None:
+                    processed += 1
+                    if processed >= max_events:
+                        return
         if until is not None and self._now < until:
             self._now = until
 
@@ -402,8 +462,8 @@ class Environment:
         """Run until ``event`` triggers (or ``limit`` virtual time passes).
 
         Unlike :meth:`run`, this terminates even when perpetual background
-        processes (heartbeats, sweepers) keep the heap non-empty. Returns the
-        event's value; re-raises its exception if it failed.
+        processes (heartbeats, sweepers) keep the queue non-empty. Returns
+        the event's value; re-raises its exception if it failed.
         """
         # Wait for *processed* (callbacks ran), not *triggered*: a Timeout
         # is triggered (scheduled) at creation, long before it fires.
@@ -411,22 +471,42 @@ class Environment:
             if limit is not None and self._now >= limit:
                 raise SimulationError(f"run_until hit time limit {limit}")
             if not self.step():
-                raise SimulationError("event heap drained before event triggered")
+                raise SimulationError("event queue drained before event triggered")
         if not event.ok:
             raise event.value
         return event.value
 
     def step(self) -> bool:
-        """Process a single event; returns False if the heap is empty."""
-        if not self._heap:
-            return False
-        at, _, event = heappop(self._heap)
-        self._now = at
-        if self.profiler is not None:
-            self.profiler.on_event(at, len(self._heap))
-        event._run_callbacks()
-        return True
+        """Process a single event; returns False if the queue is empty."""
+        heap, lane = self._heap, self._lane
+        while True:
+            now = self._now
+            if heap and heap[0][0] <= now:
+                event = heappop(heap)[2]
+            elif lane:
+                event = lane.popleft()
+            elif heap:
+                now, _, event = heappop(heap)
+            else:
+                return False
+            if event._state == _CANCELLED:
+                self._cancelled -= 1
+                continue
+            self._now = now
+            if self.profiler is not None:
+                self.profiler.on_event(now, len(heap) + len(lane))
+            event._run_callbacks()
+            return True
 
     def peek(self) -> Optional[float]:
-        """Time of the next scheduled event, or None if the heap is empty."""
-        return self._heap[0][0] if self._heap else None
+        """Time of the next scheduled event, or None if the queue is empty."""
+        heap, lane = self._heap, self._lane
+        while heap and heap[0][2]._state == _CANCELLED:
+            heappop(heap)
+            self._cancelled -= 1
+        while lane and lane[0]._state == _CANCELLED:
+            lane.popleft()
+            self._cancelled -= 1
+        if lane:
+            return self._now
+        return heap[0][0] if heap else None

@@ -57,19 +57,22 @@ class RpcTimeout(Exception):
         self.retry_after = retry_after
 
 
-@dataclass
 class Message:
     """A message in flight; carries the sender's trace context so a
-    request's span tree follows it across nodes (``repro.obs``)."""
+    request's span tree follows it across nodes (``repro.obs``).
+    ``dup`` is True for a chaos-injected duplicate (never re-duplicated)."""
 
-    msg_id: int
-    src: str
-    dst: str
-    method: str
-    payload: Any = None
-    trace_ctx: Any = None
-    #: True for a chaos-injected duplicate (never re-duplicated).
-    dup: bool = False
+    __slots__ = ("msg_id", "src", "dst", "method", "payload", "trace_ctx", "dup")
+
+    def __init__(self, msg_id: int, src: str, dst: str, method: str,
+                 payload: Any = None, trace_ctx: Any = None, dup: bool = False):
+        self.msg_id = msg_id
+        self.src = src
+        self.dst = dst
+        self.method = method
+        self.payload = payload
+        self.trace_ctx = trace_ctx
+        self.dup = dup
 
 
 @dataclass
@@ -168,7 +171,9 @@ class Network:
         self._isolated.clear()
 
     def reachable(self, a: str, b: str) -> bool:
-        if self._isolated and (a in self._isolated or b in self._isolated):
+        if not self._partitions and not self._isolated:
+            return True
+        if a in self._isolated or b in self._isolated:
             return False
         return frozenset((a, b)) not in self._partitions
 
@@ -387,9 +392,9 @@ class Network:
             calls.pop(call, None)
             if not calls:
                 del self._inflight[dst.name]
-        # Settled: the pending timer must not keep the call (and with it
-        # the request and reply) alive until it fires.
-        call.timer.callbacks.clear()
+        # Settled: the timer must not keep the call (and with it the
+        # request and reply) alive, nor pop later as a no-op.
+        self.env.cancel(call.timer)
         if call.reply is None:
             if span is not None:
                 span.finish(STATUS_TIMEOUT, timeout=call.timeout)
